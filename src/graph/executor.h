@@ -31,24 +31,6 @@ enum class ExecutorTarget : int8_t {
 
 const char* ExecutorTargetName(ExecutorTarget target);
 
-/// \brief Execution tier for fused ExprPrograms (Pipelined/Static
-/// executors): the interpreter dispatches one typed loop per instruction;
-/// the SIMD tier executes covered instruction shapes through explicit
-/// vector kernels (kernels/simd_exec.h, CPUID-dispatched) and interprets
-/// the rest instruction by instruction. Results are bit-identical across
-/// tiers — this is a performance A/B switch like `expr_fusion`.
-enum class ExprBackend : int8_t {
-  kDefault = 0,  // resolve from TQP_EXPR_BACKEND (interp unless set)
-  kInterp = 1,
-  kSimd = 2,
-};
-
-const char* ExprBackendName(ExprBackend backend);
-
-/// \brief Maps kDefault to the TQP_EXPR_BACKEND environment choice
-/// ("interp" | "simd"; interp when unset), explicit values to themselves.
-ExprBackend ResolveExprBackend(ExprBackend backend);
-
 /// \brief Hook for per-op profiling (implemented in src/profiler).
 class OpProfiler {
  public:
@@ -65,8 +47,6 @@ class OpProfiler {
 struct ExecOptions {
   DeviceKind device = DeviceKind::kCpu;
   OpProfiler* profiler = nullptr;  // not owned; may be null
-  /// Rows per block for fused elementwise execution (StaticExecutor).
-  int64_t fusion_block_rows = 32768;
   /// Charge host<->device PCIe transfers to the simulated clock. Disable to
   /// model data already resident on the accelerator (how GPU-database
   /// comparisons such as TXT2 are usually reported).
@@ -94,15 +74,6 @@ struct ExecOptions {
   /// inside pipelines and the legacy blocked groups in StaticExecutor —
   /// results are bit-identical either way; this is the fusion A/B switch.
   bool expr_fusion = true;
-  /// Pipelined/Static executors: execution tier for the fused ExprPrograms
-  /// (interpreter vs SIMD kernels; see ExprBackend). kDefault resolves from
-  /// the TQP_EXPR_BACKEND environment variable at executor construction.
-  ExprBackend expr_backend = ExprBackend::kDefault;
-  /// Pipelined executor: adapt morsel size toward a target per-morsel
-  /// service time using observed wall times (bounded; chunk assembly keeps
-  /// results bit-identical at any size). Default off; TQP_ADAPTIVE_MORSEL=1
-  /// flips the default.
-  bool adaptive_morsels = false;
   /// Parallel/Pipelined executors: evaluate pipeline breakers (hash-join
   /// build+probe, grouping, sort) through the radix-partitioned operators in
   /// src/operators/partitioned — cache-sized partition counts chosen from

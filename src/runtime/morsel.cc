@@ -12,38 +12,6 @@ int64_t DefaultMorselRows() {
   return rows;
 }
 
-bool DefaultAdaptiveMorsels() {
-  static const bool on =
-      EnvInt64OrDefault("TQP_ADAPTIVE_MORSEL", 0, 0, 1) != 0;
-  return on;
-}
-
-AdaptiveMorselController::AdaptiveMorselController(int64_t initial_rows)
-    : rows_(std::clamp(initial_rows, kMinRows, kMaxRows)) {}
-
-int64_t AdaptiveMorselController::rows() const {
-  MutexLock lock(mu_);
-  return rows_;
-}
-
-void AdaptiveMorselController::Observe(int64_t rows, int64_t wall_nanos) {
-  if (rows <= 0 || wall_nanos <= 0) return;
-  const double per_row =
-      static_cast<double>(wall_nanos) / static_cast<double>(rows);
-  MutexLock lock(mu_);
-  ewma_nanos_per_row_ = ewma_nanos_per_row_ < 0.0
-                            ? per_row
-                            : 0.25 * per_row + 0.75 * ewma_nanos_per_row_;
-  const double desired =
-      static_cast<double>(kTargetNanos) / ewma_nanos_per_row_;
-  // Geometric step bound (at most halve/double per adjustment), then the
-  // absolute envelope.
-  const double stepped =
-      std::clamp(desired, static_cast<double>(rows_) * 0.5,
-                 static_cast<double>(rows_) * 2.0);
-  rows_ = std::clamp(static_cast<int64_t>(stepped), kMinRows, kMaxRows);
-}
-
 std::vector<RowRange> PartitionRows(int64_t rows, int64_t morsel_rows) {
   if (morsel_rows <= 0) morsel_rows = DefaultMorselRows();
   std::vector<RowRange> out;

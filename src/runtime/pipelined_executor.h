@@ -10,7 +10,6 @@
 #include "compile/expr_program.h"
 #include "compile/pipeline.h"
 #include "graph/executor.h"
-#include "runtime/morsel.h"
 #include "runtime/parallel_kernels.h"
 #include "runtime/thread_pool.h"
 #include "tensor/buffer_pool.h"
@@ -85,17 +84,6 @@ class PipelinedExecutor : public Executor {
   runtime::ThreadPool* pool() const { return pool_; }
   int64_t morsel_rows() const;
 
-  /// \brief The expression backend this executor dispatches fused runs to,
-  /// resolved at construction (kDefault -> TQP_EXPR_BACKEND).
-  ExprBackend expr_backend() const { return expr_backend_; }
-
-  /// \brief Whether adaptive morsel sizing is active (option or
-  /// TQP_ADAPTIVE_MORSEL=1), and the size the next pipeline run would use.
-  bool adaptive_morsels() const { return adaptive_ != nullptr; }
-  int64_t current_morsel_rows() const {
-    return adaptive_ != nullptr ? adaptive_->rows() : morsel_rows();
-  }
-
   /// \brief The expression-fusion plan compiled for pipeline `index` (null
   /// before the pipeline first executes, when fusion is disabled, or when
   /// nothing in the pipeline fused).
@@ -146,8 +134,7 @@ class PipelinedExecutor : public Executor {
   /// compile probes one morsel node-at-a-time to learn streamed dtypes;
   /// `probe` receives that morsel's pipeline outputs so the caller can seed
   /// morsel 0 with them (untouched on a cache hit). `morsel_rows` is the
-  /// size chosen for this run (adaptive or static) — the probe must span
-  /// exactly the run's first morsel.
+  /// run's morsel size — the probe must span exactly the run's first morsel.
   Result<std::shared_ptr<const ExprFusionPlan>> FusionFor(
       int pipeline_index, const Pipeline& p, const std::vector<Tensor>& values,
       const std::vector<bool>& slice_now, int64_t driver_rows,
@@ -163,12 +150,6 @@ class PipelinedExecutor : public Executor {
   PipelinePlan plan_;
   std::unique_ptr<runtime::ThreadPool> owned_pool_;  // when num_threads > 1
   runtime::ThreadPool* pool_ = nullptr;              // owned, shared or global
-  /// Resolved once at construction; every fused-run dispatch consults this.
-  ExprBackend expr_backend_ = ExprBackend::kInterp;
-  /// Non-null when adaptive morsel sizing is on: each RunPipeline reads one
-  /// size from it (fixed for that pipeline run, so chunk assembly stays
-  /// bit-identical) and feeds completed morsels' wall times back.
-  std::unique_ptr<runtime::AdaptiveMorselController> adaptive_;
 
   /// Per-pipeline compiled fusion, keyed by the runtime source signature
   /// (dtypes + broadcast-ness); concurrent Run() calls share one cache.

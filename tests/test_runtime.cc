@@ -820,7 +820,14 @@ TEST_F(SessionTest, HighPriorityDispatchesBeforeEarlierLowPriority) {
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] { gate.wait(); });
+  // Wait until the worker is inside the jam task: workers pop LIFO, so a
+  // worker that starts late would otherwise pop a query submitted after it.
+  std::promise<void> jammed;
+  pool.Submit([gate, &jammed] {
+    jammed.set_value();
+    gate.wait();
+  });
+  jammed.get_future().wait();
 
   runtime::SchedulerOptions options;
   options.pool = &pool;
@@ -843,7 +850,14 @@ TEST_F(SessionTest, BackpressureShedsLowPriorityFirst) {
   ThreadPool pool(1);
   std::promise<void> release;
   std::shared_future<void> gate = release.get_future().share();
-  pool.Submit([gate] { gate.wait(); });
+  // Wait until the worker is inside the jam task: workers pop LIFO, so a
+  // worker that starts late would otherwise pop a query submitted after it.
+  std::promise<void> jammed;
+  pool.Submit([gate, &jammed] {
+    jammed.set_value();
+    gate.wait();
+  });
+  jammed.get_future().wait();
 
   runtime::SchedulerOptions options;
   options.pool = &pool;

@@ -27,6 +27,9 @@ fault-sites          The FaultSite enum (fault.h), the FaultSiteName spelling
 substr-string-view   A std::string_view must not be initialized from
                      .substr(): substr on a std::string returns a temporary
                      that dies at the semicolon, leaving the view dangling.
+tracked-build-output No tracked file may be a build output (CMakeCache.txt,
+                     *.o, .ninja_log, .ninja_deps): build trees belong in
+                     .gitignore, not in the repository.
 
 Usage
 -----
@@ -39,14 +42,15 @@ invocations pass it, fixture runs do not.
 """
 
 import argparse
+import fnmatch
 import os
 import re
+import subprocess
 import sys
 
 # String-valued TQP_* environment knobs: these carry names/specs/paths, not
 # integers, so EnvInt64OrDefault does not apply.
 STRING_ENV_ALLOWLIST = {
-    "TQP_EXPR_BACKEND",  # backend name: interp | simd | auto
     "TQP_FAULT_SPEC",    # fault-injection spec grammar
     "TQP_TRACE_FILE",    # trace output path
 }
@@ -364,6 +368,50 @@ def check_substr_string_view(root):
     return findings
 
 
+# -------------------------------------------------- tracked-build-output --
+BUILD_OUTPUT_PATTERNS = ("CMakeCache.txt", "*.o", ".ninja_log", ".ninja_deps")
+
+
+def tracked_files(root):
+    """Paths relative to root that git tracks. Outside a git checkout every
+    file counts, except under the directories the root .gitignore lists."""
+    try:
+        proc = subprocess.run(
+            ["git", "-C", root, "ls-files", "-z"],
+            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, check=True)
+        return [p for p in proc.stdout.decode("utf-8").split("\0") if p]
+    except (OSError, subprocess.CalledProcessError):
+        pass
+    ignored_dirs = [".git"]
+    gitignore = os.path.join(root, ".gitignore")
+    if os.path.isfile(gitignore):
+        for line in open(gitignore, encoding="utf-8"):
+            line = line.strip()
+            if line.endswith("/") and not line.startswith("#"):
+                ignored_dirs.append(line.strip("/"))
+    files = []
+    for dirpath, dirnames, names in os.walk(root):
+        dirnames[:] = [d for d in dirnames
+                       if not any(fnmatch.fnmatch(d, g) for g in ignored_dirs)]
+        files.extend(relpath(root, os.path.join(dirpath, n)) for n in names)
+    return files
+
+
+def check_tracked_build_output(root):
+    findings = []
+    for rel in sorted(tracked_files(root)):
+        rel = rel.replace(os.sep, "/")
+        if "lint_fixtures/" in rel:
+            continue  # golden fixtures exist to trigger rules
+        name = rel.rsplit("/", 1)[-1]
+        if any(fnmatch.fnmatch(name, p) for p in BUILD_OUTPUT_PATTERNS):
+            findings.append(Finding(
+                "tracked-build-output", rel, 1,
+                "build output is tracked; git rm it and cover its directory "
+                "in .gitignore"))
+    return findings
+
+
 def check_anchors(root):
     findings = []
     for rel in ANCHOR_FILES:
@@ -381,6 +429,7 @@ RULES = [
     ("env-int", check_env_int),
     ("fault-sites", check_fault_sites),
     ("substr-string-view", check_substr_string_view),
+    ("tracked-build-output", check_tracked_build_output),
 ]
 
 
