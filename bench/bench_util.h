@@ -41,7 +41,7 @@ inline double MedianTime(const std::function<void()>& fn,
 /// \brief One timed configuration plus single-run BufferPool attribution.
 struct PoolTimedRun {
   double seconds = 0;
-  double peak_alloc_mb = 0;     // pool peak live bytes during one run
+  double peak_alloc_mb = 0;     // the run's QueryScope peak live bytes
   int64_t allocs = 0;           // pool allocations (incl. bypass) in one run
   double recycle_hit_rate = 0;  // pooled requests served from free lists
   double budget_mb = 0;         // per-query budget in effect (0 = unlimited)
@@ -53,9 +53,11 @@ struct PoolTimedRun {
 /// attribute pool allocation count, recycle hit rate and peak live bytes to
 /// a single execution (the timed loop warms the pool's free lists). The
 /// attribution run executes under an explicit per-query memory scope with
-/// `budget_bytes` (0 defers to TQP_MEMORY_BUDGET_MB), so under a cap the
-/// peak_alloc_mb column reports the *resident* working set and spilled_mb
-/// reports what moved to disk to keep it there.
+/// `budget_bytes` (0 defers to TQP_MEMORY_BUDGET_MB). peak_alloc_mb is that
+/// scope's peak, so it counts only what the run allocated — not the catalog
+/// or anything else already live in the process pool. Under a cap it reports
+/// the *resident* working set and spilled_mb what moved to disk to keep it
+/// there.
 inline PoolTimedRun MeasureWithPool(const std::function<void()>& fn,
                                     const TimingProtocol& protocol = {},
                                     int64_t budget_bytes = 0) {
@@ -67,7 +69,6 @@ inline PoolTimedRun MeasureWithPool(const std::function<void()>& fn,
     r.seconds = MedianTime(fn, protocol);
   }
   BufferPool* pool = BufferPool::Global();
-  pool->ResetPeak();
   const BufferPoolStats before = pool->stats();
   BufferPool::QueryScope scope(budget);
   {
@@ -77,7 +78,7 @@ inline PoolTimedRun MeasureWithPool(const std::function<void()>& fn,
   const BufferPoolStats after = pool->stats();
   const QueryMemoryStats mem = scope.stats();
   r.peak_alloc_mb =
-      static_cast<double>(after.peak_live_bytes) / (1024.0 * 1024.0);
+      static_cast<double>(mem.peak_live_bytes) / (1024.0 * 1024.0);
   r.allocs = after.total_allocations() - before.total_allocations();
   const int64_t pooled = after.allocations - before.allocations;
   r.recycle_hit_rate =

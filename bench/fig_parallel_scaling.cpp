@@ -1,16 +1,17 @@
-// Parallel-runtime scaling: serial executors vs the morsel-driven
-// ParallelExecutor vs the pipelined morsel-streaming PipelinedExecutor on
-// TPC-H at increasing thread counts. Emits JSON (one object) on stdout so
-// future PRs can track the perf trajectory; human summary goes to stderr.
+// Parallel-runtime scaling: serial executors vs the pipelined
+// morsel-streaming PipelinedExecutor on TPC-H at increasing thread counts.
+// Emits JSON (one object) on stdout so future PRs can track the perf
+// trajectory; human summary goes to stderr.
 //
-// Each timed run also reports a peak-allocation proxy from the process-wide
-// BufferPool (peak live tensor bytes during the run): node-at-a-time
-// execution materializes every intermediate, pipelined execution holds
-// morsel-sized scratch plus pipeline outputs — the materialization win the
-// streaming refactor is after. The pipelined backend is measured both with
-// DAG overlap (independent pipeline steps scheduled concurrently, eager
-// value release) and with the sequential schedule walk (`"overlap": false`),
-// so the overlap-vs-peak-alloc trade is tracked per commit.
+// Each timed run also reports the run's peak live tensor bytes from its
+// per-query memory scope (the catalog and other process-wide allocations
+// are not counted): node-at-a-time eager execution materializes every
+// intermediate, pipelined execution holds morsel-sized scratch plus
+// pipeline outputs — the materialization win the streaming refactor is
+// after. The pipelined backend is measured both with DAG overlap
+// (independent pipeline steps scheduled concurrently, eager value release)
+// and with the sequential schedule walk (`"overlap": false`), so the
+// overlap-vs-peak-alloc trade is tracked per commit.
 //
 // With TQP_MEMORY_BUDGET_MB set, every measured run executes under that
 // per-query budget: peak_alloc_mb then reports the capped *resident*
@@ -128,7 +129,6 @@ int main(int argc, char** argv) {
     double best_speedup = 0;
     bool first = true;
     const BackendSpec specs[] = {
-        {ExecutorTarget::kParallel, true, true},
         {ExecutorTarget::kPipelined, false, true},  // sequential schedule walk
         {ExecutorTarget::kPipelined, true, true},   // DAG overlap
         {ExecutorTarget::kPipelined, true, false},  // expression fusion off

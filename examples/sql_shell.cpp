@@ -6,13 +6,14 @@
 // Usage: sql_shell [scale_factor]          (default 0.01)
 //
 // Shell commands (everything else is SQL):
-//   \backend eager|static|interp|parallel|pipelined
-//                                   choose the tensor executor (pipelined
-//                                   streams morsels through fused operator
-//                                   chains split at pipeline breakers)
-//   \threads <n>                    parallel backends: worker threads (0 = auto)
-//   \morsel <rows>                  parallel backends: rows per morsel (0 = auto)
-//   \budget <mb>                    parallel backends: per-query memory budget
+//   \backend eager|static|interp|pipelined
+//                                   choose the tensor executor (pipelined is
+//                                   the multi-core one: it streams morsels
+//                                   through fused operator chains split at
+//                                   pipeline breakers)
+//   \threads <n>                    pipelined backend: worker threads (0 = auto)
+//   \morsel <rows>                  pipelined backend: rows per morsel (0 = auto)
+//   \budget <mb>                    pipelined backend: per-query memory budget
 //                                   in MiB — a query over budget spills cold
 //                                   intermediates to disk instead of growing
 //                                   resident memory (0 = TQP_MEMORY_BUDGET_MB
@@ -22,13 +23,13 @@
 //   \device cpu|gpu                 choose the device (gpu = simulator)
 //   \engine tqp|volcano|columnar    choose the engine family (columnar runs
 //                                   its hash operators morsel-parallel when
-//                                   the parallel backend is selected)
+//                                   the pipelined backend is selected)
 //   \plan <sql>                     print the optimized physical plan
 //   \program <sql>                  print the compiled tensor program ops
 //   \fusion on|off                  pipelined/static backends: single-pass
 //                                   fused expression execution (ExprProgram
 //                                   compiler + vectorized morsel interpreter)
-//   \partitions on|off              parallel/pipelined backends: evaluate
+//   \partitions on|off              pipelined backend: evaluate
 //                                   pipeline breakers (join build, group-by,
 //                                   sort) through the radix-partitioned
 //                                   grace-join / partitioned-aggregation /
@@ -62,7 +63,8 @@
 //   \q <n>                          run TPC-H query n
 //   \sessions <n> <sql>             run <sql> from n concurrent sessions
 //                                   through the QueryScheduler (plan cache,
-//                                   admission queue) and print per-query stats
+//                                   admission queue) with the current options
+//                                   and print per-query stats
 //   \metrics                        process metrics registry in Prometheus
 //                                   text format (query latency histograms,
 //                                   scheduler/step/plan-cache counters,
@@ -74,6 +76,8 @@
 //   EXPLAIN ANALYZE <sql>           run <sql> once under the tracer and print
 //                                   the per-step wall-time breakdown
 //   quit                            exit
+//
+// Any other line starting with a backslash is reported as an unknown command.
 
 #include <atomic>
 #include <cerrno>
@@ -114,11 +118,11 @@ struct ShellState {
   ExecutorTarget target = ExecutorTarget::kStatic;
   DeviceKind device = DeviceKind::kCpu;
   std::string engine = "tqp";
-  int num_threads = 0;      // parallel backend: 0 = process-wide pool
-  int64_t morsel_rows = 0;  // parallel backend: 0 = default morsel size
+  int num_threads = 0;      // pipelined backend: 0 = process-wide pool
+  int64_t morsel_rows = 0;  // pipelined backend: 0 = default morsel size
   bool expr_fusion = true;  // pipelined/static: fused expression execution
-  // parallel/pipelined: radix-partitioned pipeline breakers (grace join,
-  // partitioned aggregation, external sort).
+  // pipelined: radix-partitioned pipeline breakers (grace join, partitioned
+  // aggregation, external sort).
   bool partitioned_breakers = false;
   int64_t budget_mb = 0;    // per-query memory budget (0 = env default)
   // Per-query deadline for every later statement, milliseconds
@@ -183,6 +187,21 @@ bool ParseInt64(const std::string& text, int64_t* out) {
   return true;
 }
 
+// The one mapping from shell state to compile options: every path that
+// compiles a statement starts here, so a \command applies to all of them.
+CompileOptions OptionsFromState(const ShellState& state) {
+  CompileOptions options;
+  options.target = state.target;
+  options.device = state.device;
+  options.num_threads = state.num_threads;
+  options.morsel_rows = state.morsel_rows;
+  options.expr_fusion = state.expr_fusion;
+  options.partitioned_breakers = state.partitioned_breakers;
+  options.memory_budget_bytes = state.budget_mb << 20;
+  options.deadline_ms = state.timeout_ms;
+  return options;
+}
+
 void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
   Stopwatch watch;
   Result<Table> result_or = Status::Internal("unset");
@@ -194,9 +213,9 @@ void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
     watch.Reset();
     result_or = volcano.ExecuteSql(sql);
   } else if (state->engine == "columnar") {
-    // With the parallel backend selected, the columnar engine's hash
+    // With the pipelined backend selected, the columnar engine's hash
     // join/group-by operators run morsel-parallel on the shared pool.
-    runtime::ThreadPool* pool = state->target == ExecutorTarget::kParallel
+    runtime::ThreadPool* pool = state->target == ExecutorTarget::kPipelined
                                     ? runtime::ThreadPool::Global()
                                     : nullptr;
     ColumnarEngine columnar(&catalog, nullptr, DeviceKind::kCpu,
@@ -205,17 +224,9 @@ void RunSql(const std::string& sql, const Catalog& catalog, ShellState* state) {
     result_or = columnar.ExecuteSql(sql);
   } else {
     QueryCompiler compiler;
-    CompileOptions options;
-    options.target = state->target;
-    options.device = state->device;
-    options.num_threads = state->num_threads;
-    options.morsel_rows = state->morsel_rows;
-    options.expr_fusion = state->expr_fusion;
-    options.partitioned_breakers = state->partitioned_breakers;
-    options.memory_budget_bytes = state->budget_mb << 20;
-    options.deadline_ms = state->timeout_ms;
     watch.Reset();
-    auto compiled_or = compiler.CompileSql(sql, catalog, options);
+    auto compiled_or =
+        compiler.CompileSql(sql, catalog, OptionsFromState(*state));
     compile_ms = watch.ElapsedSeconds() * 1e3;
     if (!compiled_or.ok()) {
       std::printf("error: %s\n", compiled_or.status().ToString().c_str());
@@ -282,10 +293,8 @@ void PrintPlanOrProgram(const std::string& sql, const Catalog& catalog,
     return;
   }
   QueryCompiler compiler;
-  CompileOptions options;
-  options.target = state.target;
-  options.device = state.device;
-  auto compiled_or = compiler.Compile(plan_or.ValueOrDie(), options);
+  auto compiled_or =
+      compiler.Compile(plan_or.ValueOrDie(), OptionsFromState(state));
   if (!compiled_or.ok()) {
     std::printf("error: %s\n", compiled_or.status().ToString().c_str());
     return;
@@ -299,13 +308,9 @@ void PrintPlanOrProgram(const std::string& sql, const Catalog& catalog,
 void ExplainPipelines(const std::string& sql, const Catalog& catalog,
                       const ShellState& state) {
   QueryCompiler compiler;
-  CompileOptions options;
+  CompileOptions options = OptionsFromState(state);
   options.target = ExecutorTarget::kPipelined;
   options.device = DeviceKind::kCpu;
-  options.num_threads = state.num_threads;
-  options.morsel_rows = state.morsel_rows;
-  options.expr_fusion = state.expr_fusion;
-  options.partitioned_breakers = state.partitioned_breakers;
   auto compiled_or = compiler.CompileSql(sql, catalog, options);
   if (!compiled_or.ok()) {
     std::printf("error: %s\n", compiled_or.status().ToString().c_str());
@@ -338,19 +343,6 @@ void ExplainPipelines(const std::string& sql, const Catalog& catalog,
       static_cast<const PipelinedExecutor*>(compiled.executor());
   std::printf("\nexpression fusion (after one run):\n%s",
               pipelined->FusionReport().c_str());
-}
-
-CompileOptions OptionsFromState(const ShellState& state) {
-  CompileOptions options;
-  options.target = state.target;
-  options.device = state.device;
-  options.num_threads = state.num_threads;
-  options.morsel_rows = state.morsel_rows;
-  options.expr_fusion = state.expr_fusion;
-  options.partitioned_breakers = state.partitioned_breakers;
-  options.memory_budget_bytes = state.budget_mb << 20;
-  options.deadline_ms = state.timeout_ms;
-  return options;
 }
 
 // Runs <sql> once with whole-lifecycle tracing attached and writes the
@@ -418,14 +410,12 @@ void RunExplainAnalyze(const std::string& sql, const Catalog& catalog,
 void RunSessions(int n, const std::string& sql, const Catalog& catalog,
                  const ShellState& state) {
   runtime::SchedulerOptions options;
-  options.compile.target = state.target;
-  options.compile.device = state.device;
-  options.compile.num_threads = state.num_threads;
-  options.compile.morsel_rows = state.morsel_rows;
-  options.compile.partitioned_breakers = state.partitioned_breakers;
-  options.compile.memory_budget_bytes = state.budget_mb << 20;
-  options.compile.deadline_ms = state.timeout_ms;
+  options.compile = OptionsFromState(state);
   runtime::QueryScheduler scheduler(&catalog, options);
+  const CompileOptions& compiled_for = scheduler.options().compile;
+  std::printf("%d sessions on %s, fusion %s\n", n,
+              ExecutorTargetName(compiled_for.target),
+              compiled_for.expr_fusion ? "on" : "off");
   std::vector<std::future<runtime::QueryOutcome>> futures;
   futures.reserve(static_cast<size_t>(n));
   Stopwatch watch;
@@ -487,13 +477,13 @@ void RunSessions(int n, const std::string& sql, const Catalog& catalog,
 }
 
 // Shared-resource report: the process-wide cross-query thread pool that every
-// parallel/pipelined executor and QueryScheduler lands on, the buffer pool
+// pipelined executor and QueryScheduler lands on, the buffer pool
 // recycling morsel scratch across operators and queries, and the per-query
 // memory governance layer (budget + spill) above it.
 void PrintPoolStats(const ShellState& state) {
   runtime::ThreadPool* pool = runtime::ThreadPool::Global();
   std::printf("shared thread pool: %d worker threads (process-wide; all\n"
-              "  sessions, schedulers and parallel/pipelined executors with\n"
+              "  sessions, schedulers and pipelined executors with\n"
               "  threads=0 share it)\n",
               pool->num_threads());
   std::printf("  tasks executed %lld (%lld stolen from another worker)\n",
@@ -630,9 +620,11 @@ int main(int argc, char** argv) {
       if (b == "eager") state.target = ExecutorTarget::kEager;
       else if (b == "static") state.target = ExecutorTarget::kStatic;
       else if (b == "interp") state.target = ExecutorTarget::kInterp;
-      else if (b == "parallel") state.target = ExecutorTarget::kParallel;
       else if (b == "pipelined") state.target = ExecutorTarget::kPipelined;
-      else std::printf("unknown backend '%s'\n", b.c_str());
+      else {
+        std::printf("unknown backend '%s' (eager|static|interp|pipelined)\n",
+                    b.c_str());
+      }
       continue;
     }
     if (line == "\\pool") {
@@ -773,13 +765,13 @@ int main(int argc, char** argv) {
         continue;
       }
       state.num_threads = static_cast<int>(n);
-      std::printf("parallel backend threads = %d%s\n", state.num_threads,
+      std::printf("pipelined backend threads = %d%s\n", state.num_threads,
                   state.num_threads == 0 ? " (process-wide pool)" : "");
       continue;
     }
     if (line.rfind("\\morsel ", 0) == 0) {
       if (!ParseInt64(line.substr(8), &state.morsel_rows)) continue;
-      std::printf("parallel backend morsel rows = %lld%s\n",
+      std::printf("pipelined backend morsel rows = %lld%s\n",
                   static_cast<long long>(state.morsel_rows),
                   state.morsel_rows == 0 ? " (default)" : "");
       continue;
@@ -848,6 +840,11 @@ int main(int argc, char** argv) {
         EqualsIgnoreCase(std::string_view(line).substr(0, kExplainAnalyze.size()),
                          kExplainAnalyze)) {
       RunExplainAnalyze(line.substr(kExplainAnalyze.size()), catalog, state);
+      continue;
+    }
+    if (line[0] == '\\') {
+      std::printf("unknown command '%s'\n",
+                  line.substr(0, line.find(' ')).c_str());
       continue;
     }
     RunSql(line, catalog, &state);

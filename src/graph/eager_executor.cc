@@ -14,8 +14,6 @@ const char* ExecutorTargetName(ExecutorTarget target) {
       return "static";
     case ExecutorTarget::kInterp:
       return "interp";
-    case ExecutorTarget::kParallel:
-      return "parallel";
     case ExecutorTarget::kPipelined:
       return "pipelined";
   }

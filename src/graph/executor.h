@@ -19,14 +19,13 @@ class ThreadPool;
 /// \brief Executor backends, mirroring the paper's lowering targets (§2.2):
 /// PyTorch eager, TorchScript (ahead-of-time planned, fused), the
 /// ONNX/WebAssembly browser path (portable bytecode, scalar interpreter),
-/// the morsel-driven multi-core runtime (src/runtime), and the pipelined
-/// morsel-streaming runtime (operator chains fused at pipeline breakers).
+/// and the morsel-driven multi-core runtime (src/runtime): pipelined morsel
+/// streaming, operator chains fused between pipeline breakers.
 enum class ExecutorTarget : int8_t {
   kEager = 0,
   kStatic = 1,
   kInterp = 2,
-  kParallel = 3,
-  kPipelined = 4,
+  kPipelined = 3,
 };
 
 const char* ExecutorTargetName(ExecutorTarget target);
@@ -35,10 +34,9 @@ const char* ExecutorTargetName(ExecutorTarget target);
 class OpProfiler {
  public:
   virtual ~OpProfiler() = default;
-  /// Called after each op node executes. The parallel and pipelined
-  /// executors may invoke this concurrently from worker threads (independent
-  /// steps of the execution DAG overlap); implementations must be
-  /// thread-safe.
+  /// Called after each op node executes. The pipelined executor may invoke
+  /// this concurrently from worker threads (independent steps of the
+  /// execution DAG overlap); implementations must be thread-safe.
   virtual void RecordOp(const OpNode& node, int64_t wall_nanos,
                         int64_t output_bytes) = 0;
 };
@@ -51,16 +49,16 @@ struct ExecOptions {
   /// model data already resident on the accelerator (how GPU-database
   /// comparisons such as TXT2 are usually reported).
   bool charge_transfers = true;
-  /// Parallel/Pipelined executors: worker threads. 0 = the process-wide pool
+  /// Pipelined executor: worker threads. 0 = the process-wide pool
   /// (TQP_THREADS env var or hardware concurrency); 1 = serial execution.
   int num_threads = 0;
-  /// Parallel/Pipelined executors: rows per morsel for data-parallel kernels.
+  /// Pipelined executor: rows per morsel for data-parallel kernels.
   /// 0 = DefaultMorselRows() (TQP_MORSEL_ROWS env var or 16384).
   int64_t morsel_rows = 0;
-  /// Parallel/Pipelined executors: explicit thread pool to schedule on (not
-  /// owned; must outlive the executor). Overrides num_threads — this is how
-  /// the QueryScheduler runs every concurrent session on one cross-query
-  /// pool instead of per-executor pools.
+  /// Pipelined executor: explicit thread pool to schedule on (not owned;
+  /// must outlive the executor). Overrides num_threads — this is how the
+  /// QueryScheduler runs every concurrent session on one cross-query pool
+  /// instead of per-executor pools.
   runtime::ThreadPool* pool = nullptr;
   /// Pipelined executor: schedule independent steps of the pipeline DAG
   /// concurrently through the TaskGraph (each step still morsel-parallel
@@ -74,27 +72,27 @@ struct ExecOptions {
   /// inside pipelines and the legacy blocked groups in StaticExecutor —
   /// results are bit-identical either way; this is the fusion A/B switch.
   bool expr_fusion = true;
-  /// Parallel/Pipelined executors: evaluate pipeline breakers (hash-join
-  /// build+probe, grouping, sort) through the radix-partitioned operators in
+  /// Pipelined executor: evaluate pipeline breakers (hash-join build+probe,
+  /// grouping, sort) through the radix-partitioned operators in
   /// src/operators/partitioned — cache-sized partition counts chosen from
   /// the query budget, recursive re-partitioning of skewed partitions, and
   /// spillable partition buffers. Results are bit-identical either way; this
   /// is the partitioning A/B switch. Default off; TQP_PARTITIONED_BREAKERS=1
   /// flips the default.
   bool partitioned_breakers = false;
-  /// Parallel/Pipelined executors: when set (not owned; must share `pool`),
-  /// step/node tasks dispatch through this priority-aware StepScheduler
-  /// instead of going to the pool directly — how the QueryScheduler
-  /// interleaves steps of concurrent queries by QueryPriority class.
+  /// Pipelined executor: when set (not owned; must share `pool`), step
+  /// tasks dispatch through this priority-aware StepScheduler instead of
+  /// going to the pool directly — how the QueryScheduler interleaves steps
+  /// of concurrent queries by QueryPriority class.
   runtime::StepScheduler* step_scheduler = nullptr;
-  /// Parallel/Pipelined executors: per-query memory budget in bytes.
-  /// Positive = cap the query's live tensor bytes, spilling cold idle step
-  /// outputs to disk past it (BufferPool::QueryScope; results stay
-  /// bit-identical to the in-memory path). 0 = the TQP_MEMORY_BUDGET_MB env
-  /// default (unlimited when unset); negative = explicitly unlimited. An
-  /// ambient QueryScope (the QueryScheduler attaches one per admitted
-  /// query) takes precedence — the executor then charges that query
-  /// instead of opening its own scope.
+  /// Pipelined executor: per-query memory budget in bytes. Positive = cap
+  /// the query's live tensor bytes, spilling cold idle step outputs to disk
+  /// past it (BufferPool::QueryScope; results stay bit-identical to the
+  /// in-memory path). 0 = the TQP_MEMORY_BUDGET_MB env default (unlimited
+  /// when unset); negative = explicitly unlimited. An ambient QueryScope
+  /// (the QueryScheduler attaches one per admitted query) takes precedence
+  /// — the executor then charges that query instead of opening its own
+  /// scope.
   int64_t memory_budget_bytes = 0;
   /// Per-query deadline in milliseconds, enforced cooperatively at morsel
   /// and step boundaries. Positive = cap this query's wall time (expired

@@ -18,16 +18,16 @@ namespace tqp {
 
 /// \brief Pipelined morsel-streaming executor (ExecutorTarget::kPipelined).
 ///
-/// Where ParallelExecutor still runs node-at-a-time (every op materializes
-/// its full output before any consumer starts), this executor follows the
+/// The one multi-core executor. Instead of running node-at-a-time (every op
+/// materializing its full output before any consumer starts), it follows the
 /// PipelinePlan built by the compiler (src/compile/pipeline.h): morsels of
 /// the driver domain stream through each pipeline's fused operator chain —
 /// scan -> filter -> project -> probe — holding only morsel-sized
 /// intermediates, and only pipeline *outputs* materialize (assembled from
 /// per-morsel chunks in morsel order, which makes every result bit-identical
 /// to the serial executors for any thread count and morsel size). Pipeline
-/// breakers (sorts, reductions, scans, concats) evaluate whole through the
-/// same exact morsel-parallel kernels ParallelExecutor uses.
+/// breakers (sorts, reductions, scans, concats) evaluate whole through
+/// ParallelEvalNode's exact morsel-parallel kernels (parallel_kernels.h).
 ///
 /// Morsel scratch churn is soaked up by the process-wide BufferPool, so a
 /// streamed chain re-uses a handful of recycled blocks instead of allocating
@@ -63,8 +63,8 @@ namespace tqp {
 ///
 /// Scheduling: ExecOptions::pool, when set, is used directly (the shared
 /// cross-query pool of the QueryScheduler). Otherwise num_threads selects a
-/// pool exactly as in ParallelExecutor (0 = process-wide, 1 = serial,
-/// N > 1 = private pool).
+/// pool: 0 = process-wide, 1 = serial, N > 1 = a private pool owned by this
+/// executor.
 ///
 /// On a simulated accelerator device the executor falls back to whole-node
 /// evaluation so every kernel launch is metered — streaming would hide

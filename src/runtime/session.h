@@ -100,8 +100,8 @@ struct SchedulerOptions {
   /// pool must outlive the scheduler.
   ThreadPool* pool = nullptr;
   /// Backend/device every admitted query compiles for. The default target is
-  /// the morsel-driven ParallelExecutor on the shared pool; kPipelined
-  /// streams morsels through fused operator chains instead.
+  /// the PipelinedExecutor on the shared pool, which streams morsels through
+  /// fused operator chains.
   CompileOptions compile;
   /// Whole-lifecycle tracing (not owned; must outlive the scheduler). When
   /// set, every admitted query records admission, queue wait, compile /
@@ -110,7 +110,7 @@ struct SchedulerOptions {
   /// Null (the default) keeps every trace hook to a null-pointer branch.
   obs::TraceSession* trace = nullptr;
 
-  SchedulerOptions() { compile.target = ExecutorTarget::kParallel; }
+  SchedulerOptions() { compile.target = ExecutorTarget::kPipelined; }
 };
 
 /// \brief Admission control + dispatch for concurrent queries over a shared
@@ -125,14 +125,13 @@ struct SchedulerOptions {
 ///
 /// A query does not execute as one opaque task either: every compiled
 /// executor is wired to this scheduler's StepScheduler, so an admitted
-/// query's execution DAG — its pipeline steps (kPipelined) or node tasks
-/// (kParallel) — is admitted step by step into shared per-priority ready
-/// queues, tagged with the query's QueryPriority. Steps of different queries
-/// therefore interleave at step granularity, and a long breaker in one query
-/// no longer starves every other admitted query; a queued high-priority step
-/// always starts before a queued low-priority one. Admission and
-/// backpressure semantics (queue capacity, watermark shedding) are
-/// unchanged.
+/// query's execution DAG (its pipeline steps) is admitted step by step into
+/// shared per-priority ready queues, tagged with the query's QueryPriority.
+/// Steps of different queries therefore interleave at step granularity, and
+/// a long breaker in one query no longer starves every other admitted query;
+/// a queued high-priority step always starts before a queued low-priority
+/// one. Admission and backpressure semantics (queue capacity, watermark
+/// shedding) are unchanged.
 ///
 /// The scheduler owns no table data; the catalog must outlive it. Destruction
 /// drains: queued queries still execute, then the destructor waits for every

@@ -84,7 +84,7 @@ TEST(ExecutorTest, AllTargetsAgreeOnSmallProgram) {
   }
   for (ExecutorTarget target :
        {ExecutorTarget::kEager, ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-        ExecutorTarget::kParallel, ExecutorTarget::kPipelined}) {
+        ExecutorTarget::kPipelined}) {
     auto executor = MakeExecutor(target, program).ValueOrDie();
     auto outputs = executor->Run({x, y}).ValueOrDie();
     EXPECT_DOUBLE_EQ(outputs[0].at<double>(0), expected)
@@ -156,7 +156,6 @@ TEST(ExecutorTest, RandomizedProgramEquivalence) {
     auto eager = MakeExecutor(ExecutorTarget::kEager, program).ValueOrDie();
     Tensor expected = eager->Run({a, b}).ValueOrDie()[0];
     for (ExecutorTarget target : {ExecutorTarget::kStatic, ExecutorTarget::kInterp,
-                                  ExecutorTarget::kParallel,
                                   ExecutorTarget::kPipelined}) {
       auto executor = MakeExecutor(target, program).ValueOrDie();
       Tensor got = executor->Run({a, b}).ValueOrDie()[0];

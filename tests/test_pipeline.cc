@@ -372,9 +372,9 @@ TEST(PipelineDagTest, IndependentSerialStepsRunConcurrently) {
 
 TEST(EagerReleaseTest, ChainIntermediatesReleaseBeforeRunEnds) {
   // A long elementwise chain: node-at-a-time eager execution keeps every
-  // intermediate alive until the run ends, while the runtime backends must
-  // release each value right after its last consumer — their peak-allocation
-  // proxy has to come in well under eager's.
+  // intermediate alive until the run ends, while the pipelined backend must
+  // release each value right after its last consumer — serially and on a
+  // pool, its peak-allocation proxy has to come in well under eager's.
   auto program = std::make_shared<TensorProgram>();
   const int x = program->AddInput("x");
   AttrMap add;
@@ -403,12 +403,12 @@ TEST(EagerReleaseTest, ChainIntermediatesReleaseBeforeRunEnds) {
   };
 
   const int64_t eager = peak_during_run(ExecutorTarget::kEager, 1);
-  const int64_t parallel = peak_during_run(ExecutorTarget::kParallel, 1);
+  const int64_t serial = peak_during_run(ExecutorTarget::kPipelined, 1);
   const int64_t pipelined = peak_during_run(ExecutorTarget::kPipelined, 2);
   // Eight 8-MiB intermediates stay live under eager; the release paths hold
   // a small constant number of values at a time.
   EXPECT_GT(eager, 7 * (n * 8));
-  EXPECT_LT(parallel, eager / 2);
+  EXPECT_LT(serial, eager / 2);
   EXPECT_LT(pipelined, eager / 2);
 }
 

@@ -424,12 +424,16 @@ TEST_F(SpillTpchTest, CappedQ1HoldsMeaningfullyFewerResidentBytes) {
       << "capped Q1 should shed at least a quarter of its resident peak";
 }
 
-TEST_F(SpillTpchTest, ParallelExecutorSpillsAndMatches) {
-  // The node-at-a-time runtime backend shares the same registry wiring.
+TEST_F(SpillTpchTest, WholeNodeFallbackSpillsAndMatches) {
+  // On a simulated device the pipelined executor evaluates every pipeline
+  // node-at-a-time (full intermediates, intra-op parallel kernels); that
+  // path shares the streaming path's spill registry wiring. Q1's whole-node
+  // step outputs are large enough to evict at SF 0.01.
   QueryCompiler compiler;
-  const std::string sql = tpch::QueryText(6).ValueOrDie();
+  const std::string sql = tpch::QueryText(1).ValueOrDie();
   CompileOptions options;
-  options.target = ExecutorTarget::kParallel;
+  options.target = ExecutorTarget::kPipelined;
+  options.device = DeviceKind::kCudaSim;
   options.num_threads = 2;
   CompiledQuery compiled =
       compiler.CompileSql(sql, *catalog_, options).ValueOrDie();
@@ -449,8 +453,9 @@ TEST_F(SpillTpchTest, ParallelExecutorSpillsAndMatches) {
     capped = compiled.Run(*catalog_).ValueOrDie();
     mem = scope.stats();
   }
-  ExpectTablesIdentical(capped, reference, "parallel Q6 under budget");
+  ExpectTablesIdentical(capped, reference, "whole-node Q1 under budget");
   EXPECT_GT(mem.spill_events, 0);
+  EXPECT_LE(mem.peak_live_bytes, uncapped_peak);
   // Node-at-a-time floors: a single node's pinned inputs + output bound
   // what the spill tier can shed (and task timing jitters the peak a
   // little), but the gauge contract holds — under budget unless overruns
